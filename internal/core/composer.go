@@ -89,6 +89,7 @@ func (e *Engine) composeStreaming(ctx context.Context, rw *Rewrite, partials []*
 // composition query over them, honouring ctx between chunks.
 func (e *Engine) composeRows(ctx context.Context, rw *Rewrite, rows []sqltypes.Row, prefix string) (*engine.Result, error) {
 	ld := e.mem.NewLoader(prefix, rw.PartialCols)
+	defer ld.Close()
 	for len(rows) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -1031,6 +1031,7 @@ func (e *Engine) runSVP(ctx context.Context, sel *sql.SelectStmt, usePartial boo
 	// partitions stealing does the load balancing, so one hedge at a time
 	// only covers a node that stalls mid-partition.
 	sink := e.newComposeSink(rw, nParts, resv)
+	defer sink.release()
 	var totalRows int64
 	var firstErr, pendingErr, schedErr error
 	done := make([]bool, nParts)

@@ -32,7 +32,9 @@ type gatherMsg struct {
 // of starting after the last one. Attempts stream independently; commit
 // fixes one attempt as a partition's winner (partition-order composition
 // is the sink's responsibility), abort discards a failed or losing
-// attempt, and finish produces the final result.
+// attempt, finish produces the final result, and release frees whatever
+// the sink still holds in the composition database, on every path out
+// of the gather (success, error, cancellation).
 //
 // All methods are called from the single gather goroutine; sinks need no
 // locking. observe takes ownership of the batch and must return it to
@@ -42,6 +44,7 @@ type composeSink interface {
 	commit(idx int, attempt int64) error
 	abort(idx int, attempt int64) error
 	finish(ctx context.Context) (*engine.Result, error)
+	release()
 }
 
 // newComposeSink picks the composer route: the paper's memdb (HSQLDB
@@ -159,6 +162,8 @@ func (s *memdbSink) finish(ctx context.Context) (*engine.Result, error) {
 	}
 	return s.e.composeLoaded(s.rw, name)
 }
+
+func (s *memdbSink) release() { s.ld.Close() }
 
 // advance resolves committed partitions at the frontier. A worker's fin
 // message follows all its batches (one FIFO channel, one consumer), so
@@ -298,6 +303,10 @@ func (s *foldSink) abort(idx int, attempt int64) error {
 	delete(s.tables, attemptKey{idx, attempt})
 	return nil
 }
+
+// release is a no-op: the fold tables live in Go memory, and finish's
+// composition load closes its own table.
+func (s *foldSink) release() {}
 
 func (s *foldSink) finish(ctx context.Context) (*engine.Result, error) {
 	if err := ctx.Err(); err != nil {

@@ -91,13 +91,13 @@ func (b *binder) bind(e sql.Expr, sc *scope) (bexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &binExpr{op: e.Op, l: l, r: r}, nil
+		return fold(&binExpr{op: e.Op, l: l, r: r}), nil
 	case *sql.NegExpr:
 		x, err := b.bind(e.E, sc)
 		if err != nil {
 			return nil, err
 		}
-		return &negExpr{e: x}, nil
+		return fold(&negExpr{e: x}), nil
 	case *sql.CompareExpr:
 		l, err := b.bind(e.L, sc)
 		if err != nil {
@@ -229,7 +229,7 @@ func (b *binder) bind(e sql.Expr, sc *scope) (bexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &extractExpr{field: e.Field, e: x}, nil
+		return fold(&extractExpr{field: e.Field, e: x}), nil
 	case *sql.FuncExpr:
 		if e.IsAggregate() {
 			return nil, fmt.Errorf("aggregate %s() is not allowed here", e.Name)
@@ -238,6 +238,37 @@ func (b *binder) bind(e sql.Expr, sc *scope) (bexpr, error) {
 	default:
 		return nil, fmt.Errorf("cannot bind %T", e)
 	}
+}
+
+// fold replaces a literal-only arithmetic, negation or EXTRACT node
+// (date ± interval included) by a literal holding its value, so
+// constants are computed once per plan instead of once per row. The
+// binder folds bottom-up, so nested constant subtrees arrive here
+// already reduced to literals. A node whose evaluation fails (division
+// by zero, an unknown interval unit) stays unfolded: its error must
+// still surface only when a row reaches it.
+func fold(e bexpr) bexpr {
+	var operands []bexpr
+	switch x := e.(type) {
+	case *binExpr:
+		operands = []bexpr{x.l, x.r}
+	case *negExpr:
+		operands = []bexpr{x.e}
+	case *extractExpr:
+		operands = []bexpr{x.e}
+	default:
+		return e
+	}
+	for _, o := range operands {
+		if _, ok := o.(*litExpr); !ok {
+			return e
+		}
+	}
+	v, err := e.eval(&evalCtx{})
+	if err != nil {
+		return e
+	}
+	return &litExpr{v: v}
 }
 
 // bindColumn resolves a column locally, falling back to the enclosing
@@ -276,14 +307,14 @@ func (b *binder) bindSubplan(stmt *sql.SelectStmt, enclosing *scope) (*subplan, 
 	if err != nil {
 		return nil, err
 	}
-	return &subplan{root: root, paramBinds: paramBinds, ncols: len(cols)}, nil
+	return &subplan{root: root, paramBinds: compileAll(paramBinds), ncols: len(cols)}, nil
 }
 
 // subplan is a planned nested query plus the expressions (evaluated in
 // the enclosing tuple) that produce its correlation parameters.
 type subplan struct {
 	root       op
-	paramBinds []bexpr
+	paramBinds []*kernel
 	ncols      int
 
 	// cache materializes an uncorrelated sub-query once per execution.
@@ -298,7 +329,7 @@ func (s *subplan) correlated() bool { return len(s.paramBinds) > 0 }
 func (s *subplan) run(ec *evalCtx, maxRows int) ([]sqltypes.Row, error) {
 	params := make([]sqltypes.Value, len(s.paramBinds))
 	for i, pb := range s.paramBinds {
-		v, err := pb.eval(ec)
+		v, err := pb.value(ec)
 		if err != nil {
 			return nil, err
 		}

@@ -72,6 +72,19 @@ func (db *Database) CreateTable(st *sql.CreateTableStmt) (*storage.Relation, err
 	return rel, nil
 }
 
+// DropTable removes a relation from the catalog. Queries already holding
+// the relation finish against it; its storage is reclaimed once they
+// let go.
+func (db *Database) DropTable(name string) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if _, ok := db.relations[name]; !ok {
+		return fmt.Errorf("table %q does not exist", name)
+	}
+	delete(db.relations, name)
+	return nil
+}
+
 // CreateIndex adds an index from a parsed declaration.
 func (db *Database) CreateIndex(st *sql.CreateIndexStmt) error {
 	rel, err := db.Relation(st.Table)

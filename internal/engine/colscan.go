@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"apuama/internal/sql"
 	"apuama/internal/sqltypes"
 	"apuama/internal/storage"
 )
@@ -66,8 +67,7 @@ func collectZonePreds(e bexpr, allowParams bool) []zonePred {
 				return
 			}
 			if c, ok := x.r.(*colExpr); ok && constExpr(x.l, allowParams) {
-				flip := map[string]string{"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-				out = append(out, zonePred{col: c.pos, op: flip[x.op], v: x.l})
+				out = append(out, zonePred{col: c.pos, op: sql.FlipCompare(x.op), v: x.l})
 			}
 		case *betweenExpr:
 			if x.not {
@@ -115,7 +115,7 @@ func resolveZoneChecks(preds []zonePred, ec *evalCtx) []zoneCheck {
 			if e == nil || !ok {
 				return
 			}
-			v, err := e.eval(ec)
+			v, err := compile(e).value(ec)
 			if err != nil {
 				ok = false
 				return
@@ -138,7 +138,7 @@ func resolveZoneChecks(preds []zonePred, ec *evalCtx) []zoneCheck {
 //
 // Rules (sqltypes.Compare is the same total order row-level cmpExpr
 // uses, so no type gating is needed): a NULL constant makes the
-// predicate NULL for every row, and filterTrue(NULL) is false, so the
+// predicate NULL for every row, and a filter keeps only TRUE, so the
 // segment prunes; an all-NULL column (zone-map Min is NULL) likewise
 // compares to NULL everywhere. Zone maps cover every stored row (dead
 // ones included), so a visible qualifying row always lands in a kept
@@ -202,7 +202,7 @@ func pruneSegments(set *storage.SegmentSet, checks []zoneCheck) (kept []*storage
 // (needKeyOrder: this op replaced a clustered index range scan).
 type colScanOp struct {
 	rel    *storage.Relation
-	filter bexpr // full conjunctive scan predicate (may be nil)
+	filter *kernel // full conjunctive scan predicate (may be nil)
 
 	needKeyOrder bool
 	fallback     op
@@ -237,7 +237,7 @@ func (s *colScanOp) open(ex *execCtx) error {
 		}
 	}
 
-	checks := resolveZoneChecks(collectZonePreds(s.filter, true), &s.ec)
+	checks := resolveZoneChecks(collectZonePreds(s.filter.tree(), true), &s.ec)
 	s.kept, s.prunedCount = pruneSegments(set, checks)
 	ex.node.pstats.addSegPruned(int64(s.prunedCount))
 	ex.node.pstats.addSegScanned(int64(len(s.kept)))
@@ -273,19 +273,12 @@ func (s *colScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
 				continue
 			}
 			row := seg.Rows[i]
-			if s.filter != nil {
-				s.ec.row = row
-				v, err := s.filter.eval(&s.ec)
+			s.ec.row = row
+			if keep, err := s.filter.keep(&s.ec); !keep {
 				if err != nil {
 					return err
 				}
-				keep, err := filterTrue(v)
-				if err != nil {
-					return err
-				}
-				if !keep {
-					continue
-				}
+				continue
 			}
 			out.Append(row)
 		}

@@ -109,7 +109,7 @@ func (cs *childStream) nextRow(src op, ex *execCtx) (sqltypes.Row, error) {
 // evalCtx is reused across all rows.
 type seqScanOp struct {
 	rel    *storage.Relation
-	filter bexpr // may be nil
+	filter *kernel // may be nil
 
 	pages []*storage.Page
 	pi    int
@@ -143,19 +143,12 @@ func (s *seqScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
 				continue
 			}
 			row := p.Row(slot)
-			if s.filter != nil {
-				s.ec.row = row
-				v, err := s.filter.eval(&s.ec)
+			s.ec.row = row
+			if keep, err := s.filter.keep(&s.ec); !keep {
 				if err != nil {
 					return err
 				}
-				keep, err := filterTrue(v)
-				if err != nil {
-					return err
-				}
-				if !keep {
-					continue
-				}
+				continue
 			}
 			out.Append(row)
 		}
@@ -181,9 +174,9 @@ func (s *seqScanOp) close() { s.pages = nil }
 type indexScanOp struct {
 	rel            *storage.Relation
 	index          *storage.Index
-	lo, hi         []bexpr // key prefix bounds; nil slice = open
+	lo, hi         []*kernel // key prefix bounds; nil slice = open
 	loIncl, hiIncl bool
-	filter         bexpr
+	filter         *kernel
 
 	rids   []storage.RowID
 	pos    int
@@ -193,25 +186,11 @@ type indexScanOp struct {
 
 func (s *indexScanOp) open(ex *execCtx) error {
 	s.ec = evalCtx{ex: ex}
-	evalBound := func(bs []bexpr) (sqltypes.Row, error) {
-		if bs == nil {
-			return nil, nil
-		}
-		key := make(sqltypes.Row, len(bs))
-		for i, b := range bs {
-			v, err := b.eval(&s.ec)
-			if err != nil {
-				return nil, err
-			}
-			key[i] = v
-		}
-		return key, nil
-	}
-	lo, err := evalBound(s.lo)
+	lo, err := evalRow(&s.ec, s.lo)
 	if err != nil {
 		return err
 	}
-	hi, err := evalBound(s.hi)
+	hi, err := evalRow(&s.ec, s.hi)
 	if err != nil {
 		return err
 	}
@@ -251,19 +230,12 @@ func (s *indexScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			continue
 		}
 		row := p.Row(rid.Slot)
-		if s.filter != nil {
-			s.ec.row = row
-			v, err := s.filter.eval(&s.ec)
+		s.ec.row = row
+		if keep, err := s.filter.keep(&s.ec); !keep {
 			if err != nil {
 				return err
 			}
-			keep, err := filterTrue(v)
-			if err != nil {
-				return err
-			}
-			if !keep {
-				continue
-			}
+			continue
 		}
 		out.Append(row)
 	}
@@ -272,11 +244,28 @@ func (s *indexScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
 
 func (s *indexScanOp) close() { s.rids = nil }
 
+// evalRow evaluates a list of kernels into a fresh row (nil for a nil
+// list: an open index bound).
+func evalRow(ec *evalCtx, ks []*kernel) (sqltypes.Row, error) {
+	if ks == nil {
+		return nil, nil
+	}
+	row := make(sqltypes.Row, len(ks))
+	for i, k := range ks {
+		v, err := k.value(ec)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = v
+	}
+	return row, nil
+}
+
 // --- filter ---
 
 type filterOp struct {
 	child op
-	cond  bexpr
+	cond  *kernel
 
 	cs childStream
 	ec evalCtx
@@ -298,11 +287,7 @@ func (f *filterOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			return nil
 		}
 		f.ec.row = row
-		v, err := f.cond.eval(&f.ec)
-		if err != nil {
-			return err
-		}
-		keep, err := filterTrue(v)
+		keep, err := f.cond.keep(&f.ec)
 		if err != nil {
 			return err
 		}
@@ -325,12 +310,13 @@ func (f *filterOp) close() {
 // columns. Only inner joins exist in the dialect.
 type hashJoinOp struct {
 	probe, build         op
-	probeKeys, buildKeys []bexpr
+	probeKeys, buildKeys []*kernel
 
 	table   map[uint64][]sqltypes.Row // hash -> build rows
 	keysOf  map[uint64][]sqltypes.Row // hash -> build keys, parallel to table
 	matches []sqltypes.Row            // pending matches for current probe row
 	current sqltypes.Row
+	pkey    sqltypes.Row // probe-key scratch, reused across probe rows
 	cs      childStream
 	ec      evalCtx
 }
@@ -357,7 +343,7 @@ func (j *hashJoinOp) open(ex *execCtx) error {
 		if row == nil {
 			break
 		}
-		key, null, err := evalKeys(&j.ec, j.buildKeys, row)
+		key, null, err := evalKeys(&j.ec, j.buildKeys, row, make(sqltypes.Row, len(j.buildKeys)))
 		if err != nil {
 			return err
 		}
@@ -373,11 +359,12 @@ func (j *hashJoinOp) open(ex *execCtx) error {
 	return j.probe.open(ex)
 }
 
-func evalKeys(ec *evalCtx, keys []bexpr, row sqltypes.Row) (sqltypes.Row, bool, error) {
+// evalKeys evaluates join keys over row into out (len(keys) long),
+// reporting a NULL key, which never joins.
+func evalKeys(ec *evalCtx, keys []*kernel, row, out sqltypes.Row) (sqltypes.Row, bool, error) {
 	ec.row = row
-	out := make(sqltypes.Row, len(keys))
 	for i, k := range keys {
-		v, err := k.eval(ec)
+		v, err := k.value(ec)
 		if err != nil {
 			return nil, false, err
 		}
@@ -409,7 +396,10 @@ func (j *hashJoinOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			return nil
 		}
 		ex.meter.Charge(cfg.CPUOperator)
-		key, null, err := evalKeys(&j.ec, j.probeKeys, row)
+		if j.pkey == nil {
+			j.pkey = make(sqltypes.Row, len(j.probeKeys))
+		}
+		key, null, err := evalKeys(&j.ec, j.probeKeys, row, j.pkey)
 		if err != nil {
 			return err
 		}
@@ -444,7 +434,7 @@ func (j *hashJoinOp) close() {
 
 type nestedLoopOp struct {
 	outer, inner op
-	cond         bexpr // may be nil (pure cross product)
+	cond         *kernel // may be nil (pure cross product)
 
 	innerRows []sqltypes.Row
 	cur       sqltypes.Row
@@ -497,19 +487,12 @@ func (n *nestedLoopOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			b := n.innerRows[n.ii]
 			n.ii++
 			n.scratch = append(append(n.scratch[:0], n.cur...), b...)
-			if n.cond != nil {
-				n.ec.row = n.scratch
-				v, err := n.cond.eval(&n.ec)
+			n.ec.row = n.scratch
+			if keep, err := n.cond.keep(&n.ec); !keep {
 				if err != nil {
 					return err
 				}
-				keep, err := filterTrue(v)
-				if err != nil {
-					return err
-				}
-				if !keep {
-					continue
-				}
+				continue
 			}
 			out.Append(n.scratch.Clone())
 		}
@@ -531,7 +514,7 @@ func (n *nestedLoopOp) close() {
 
 type projectOp struct {
 	child op
-	items []bexpr
+	items []*kernel
 
 	cs childStream
 	ec evalCtx
@@ -553,13 +536,9 @@ func (p *projectOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			return nil
 		}
 		p.ec.row = row
-		projected := make(sqltypes.Row, len(p.items))
-		for i, it := range p.items {
-			v, err := it.eval(&p.ec)
-			if err != nil {
-				return err
-			}
-			projected[i] = v
+		projected, err := evalRow(&p.ec, p.items)
+		if err != nil {
+			return err
 		}
 		out.Append(projected)
 	}
@@ -577,7 +556,7 @@ func (p *projectOp) close() {
 // arg means count(*).
 type aggDef struct {
 	fn       string
-	arg      bexpr
+	arg      *kernel
 	distinct bool
 }
 
@@ -684,7 +663,7 @@ func (st *aggState) result(def *aggDef) sqltypes.Value {
 // new group, so the ungrouped Q1/Q6 paths accumulate allocation-free.
 type aggOp struct {
 	child  op
-	groups []bexpr
+	groups []*kernel
 	aggs   []*aggDef
 
 	out    []sqltypes.Row
@@ -723,7 +702,7 @@ func (a *aggOp) open(ex *execCtx) error {
 		ec.row = row
 		keys := a.keybuf
 		for i, g := range a.groups {
-			v, err := g.eval(&ec)
+			v, err := g.value(&ec)
 			if err != nil {
 				return err
 			}
@@ -745,7 +724,7 @@ func (a *aggOp) open(ex *execCtx) error {
 		for i, def := range a.aggs {
 			var v sqltypes.Value
 			if def.arg != nil {
-				v, err = def.arg.eval(&ec)
+				v, err = def.arg.value(&ec)
 				if err != nil {
 					return err
 				}
@@ -784,7 +763,7 @@ func (a *aggOp) close() { a.out = nil }
 // --- sort ---
 
 type sortKey struct {
-	expr bexpr
+	expr *kernel
 	desc bool
 }
 
@@ -822,7 +801,7 @@ func (s *sortOp) open(ex *execCtx) error {
 		ks := make(sqltypes.Row, len(s.keys))
 		ec.row = row
 		for i, k := range s.keys {
-			v, err := k.expr.eval(&ec)
+			v, err := k.expr.value(&ec)
 			if err != nil {
 				return err
 			}

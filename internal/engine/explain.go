@@ -160,7 +160,7 @@ func staticPrune(o *colScanOp) string {
 	if set == nil {
 		return "segments not built"
 	}
-	checks := resolveZoneChecks(collectZonePreds(o.filter, false), &evalCtx{})
+	checks := resolveZoneChecks(collectZonePreds(o.filter.tree(), false), &evalCtx{})
 	_, pruned := pruneSegments(set, checks)
 	return fmt.Sprintf("segments pruned %d/%d", pruned, len(set.Segments))
 }

@@ -53,7 +53,12 @@ func (e *binExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
 	if err != nil {
 		return sqltypes.Null(), err
 	}
-	switch e.op {
+	return applyArith(e.op, l, r)
+}
+
+// applyArith applies an arithmetic operator to two evaluated operands.
+func applyArith(op byte, l, r sqltypes.Value) (sqltypes.Value, error) {
+	switch op {
 	case '+':
 		return sqltypes.Add(l, r)
 	case '-':
@@ -63,7 +68,7 @@ func (e *binExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
 	case '/':
 		return sqltypes.Div(l, r)
 	}
-	return sqltypes.Null(), fmt.Errorf("unknown arithmetic operator %c", e.op)
+	return sqltypes.Null(), fmt.Errorf("unknown arithmetic operator %c", op)
 }
 
 // negExpr is unary minus.
@@ -134,13 +139,6 @@ func boolOperand(v sqltypes.Value) (isTrue, isNull bool, err error) {
 	default:
 		return false, false, fmt.Errorf("boolean condition expected, got %s value %s", v.K, v)
 	}
-}
-
-// filterTrue reports whether a predicate value keeps a row (NULL means
-// "not true").
-func filterTrue(v sqltypes.Value) (bool, error) {
-	t, _, err := boolOperand(v)
-	return t, err
 }
 
 type andExpr struct{ l, r bexpr }
@@ -319,17 +317,19 @@ func (e *likeExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
 }
 
 // likeMatch implements %/_ pattern matching with the classic two-pointer
-// backtracking algorithm (linear for TPC-H's prefix/infix patterns).
+// backtracking algorithm (linear for TPC-H's prefix/infix patterns). A
+// '%' in the pattern is always a wildcard, even facing a literal '%' in
+// the subject.
 func likeMatch(s, pattern string) bool {
 	var si, pi int
 	star, match := -1, 0
 	for si < len(s) {
-		if pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]) {
-			si++
-			pi++
-		} else if pi < len(pattern) && pattern[pi] == '%' {
+		if pi < len(pattern) && pattern[pi] == '%' {
 			star = pi
 			match = si
+			pi++
+		} else if pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]) {
+			si++
 			pi++
 		} else if star != -1 {
 			pi = star + 1
@@ -377,7 +377,7 @@ func (e *caseExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
 		if err != nil {
 			return sqltypes.Null(), err
 		}
-		ct, err := filterTrue(c)
+		ct, _, err := boolOperand(c)
 		if err != nil {
 			return sqltypes.Null(), err
 		}
@@ -399,14 +399,22 @@ type extractExpr struct {
 
 func (e *extractExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
 	v, err := e.e.eval(ec)
-	if err != nil || v.IsNull() {
+	if err != nil {
 		return sqltypes.Null(), err
 	}
+	return extractField(e.field, v)
+}
+
+// extractField applies EXTRACT(field FROM v) to an evaluated operand.
+func extractField(field string, v sqltypes.Value) (sqltypes.Value, error) {
+	if v.IsNull() {
+		return sqltypes.Null(), nil
+	}
 	if v.K != sqltypes.KindDate {
-		return sqltypes.Null(), fmt.Errorf("extract(%s) requires a date, got %s", e.field, v.K)
+		return sqltypes.Null(), fmt.Errorf("extract(%s) requires a date, got %s", field, v.K)
 	}
 	y, m, d := v.DateYMD()
-	switch e.field {
+	switch field {
 	case "year":
 		return sqltypes.NewInt(int64(y)), nil
 	case "month":
@@ -414,7 +422,7 @@ func (e *extractExpr) eval(ec *evalCtx) (sqltypes.Value, error) {
 	case "day":
 		return sqltypes.NewInt(int64(d)), nil
 	}
-	return sqltypes.Null(), fmt.Errorf("unknown extract field %q", e.field)
+	return sqltypes.Null(), fmt.Errorf("unknown extract field %q", field)
 }
 
 // aggRefExpr reads an aggregation output slot (group keys first, then

@@ -549,7 +549,7 @@ func (nd *Node) execUpdate(writeID int64, st *sql.UpdateStmt) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	set := make(map[int]bexpr, len(st.Set))
+	set := make(map[int]*kernel, len(st.Set))
 	b := &binder{node: nd}
 	layout := make([]colID, len(rel.Schema.Cols))
 	for c := range layout {
@@ -565,7 +565,7 @@ func (nd *Node) execUpdate(writeID int64, st *sql.UpdateStmt) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		set[p] = be
+		set[p] = compile(be)
 	}
 	rids, _, err := nd.collectTargets(writeID, st.Table, st.Where)
 	if err != nil {
@@ -582,7 +582,7 @@ func (nd *Node) execUpdate(writeID int64, st *sql.UpdateStmt) (int64, error) {
 		updated := old.Clone()
 		ec := &evalCtx{ex: ex, row: old}
 		for p, be := range set {
-			v, err := be.eval(ec)
+			v, err := be.value(ec)
 			if err != nil {
 				return 0, err
 			}
@@ -628,18 +628,9 @@ func (nd *Node) collectTargets(writeID int64, table string, where sql.Expr) ([]s
 	for c := range layout {
 		layout[c] = colID{t: 0, c: c}
 	}
-	scanScope := nameScope.withOutputs(layout)
-	var filter bexpr
-	for _, f := range filters {
-		bf, err := b.bind(f, scanScope)
-		if err != nil {
-			return nil, nil, err
-		}
-		if filter == nil {
-			filter = bf
-		} else {
-			filter = &andExpr{l: filter, r: bf}
-		}
+	filter, err := bindConjunction(b, filters, nameScope.withOutputs(layout))
+	if err != nil {
+		return nil, nil, err
 	}
 	snapshot := writeID - 1
 	ex := &execCtx{node: nd, snapshot: snapshot, meter: nd.meter}
@@ -671,18 +662,11 @@ func (nd *Node) collectTargets(writeID int64, table string, where sql.Expr) ([]s
 			if !p.Visible(rid.Slot, snapshot) {
 				continue
 			}
-			if filter != nil {
-				v, err := filter.eval(&evalCtx{ex: ex, row: p.Row(rid.Slot)})
+			if keep, err := filter.keep(&evalCtx{ex: ex, row: p.Row(rid.Slot)}); !keep {
 				if err != nil {
 					return nil, nil, err
 				}
-				keep, err := filterTrue(v)
-				if err != nil {
-					return nil, nil, err
-				}
-				if !keep {
-					continue
-				}
+				continue
 			}
 			rids = append(rids, rid)
 		}
@@ -697,18 +681,11 @@ func (nd *Node) collectTargets(writeID int64, table string, where sql.Expr) ([]s
 			if !p.Visible(s, snapshot) {
 				continue
 			}
-			if filter != nil {
-				v, err := filter.eval(&evalCtx{ex: ex, row: p.Row(s)})
+			if keep, err := filter.keep(&evalCtx{ex: ex, row: p.Row(s)}); !keep {
 				if err != nil {
 					return nil, nil, err
 				}
-				keep, err := filterTrue(v)
-				if err != nil {
-					return nil, nil, err
-				}
-				if !keep {
-					continue
-				}
+				continue
 			}
 			rids = append(rids, storage.RowID{Page: int32(pi), Slot: s})
 		}

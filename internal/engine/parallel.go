@@ -25,6 +25,7 @@ package engine
 // back to serial execution.
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,16 +51,16 @@ var _ [0]struct{} = [storage.SegmentSpanPages - morselPages]struct{}{}
 // fragSpec describes one parallel-safe plan fragment: a base-relation
 // scan (sequential or index range), the conjunctive filters above it,
 // and an optional projection. The spec is immutable and shared by all
-// workers; every bound expression in it passed parallelSafeExpr, so
-// evaluation needs only a private evalCtx.
+// workers; every expression in it passed parallelSafeExpr and runs as a
+// stateless compiled kernel, so evaluation needs only a private evalCtx.
 type fragSpec struct {
 	rel            *storage.Relation
 	index          *storage.Index // nil = sequential heap scan
-	lo, hi         []bexpr        // index key bounds (evaluated once, by the coordinator)
+	lo, hi         []*kernel      // index key bounds (evaluated once, by the coordinator)
 	loIncl, hiIncl bool
-	scanFilter     bexpr   // pushed-down scan predicate (may be nil)
-	filters        []bexpr // stacked filter conditions, innermost first
-	project        []bexpr // nil: emit raw scan rows
+	scanFilter     *kernel   // pushed-down scan predicate (may be nil)
+	filters        []*kernel // stacked filter conditions, innermost first
+	project        []*kernel // nil: emit raw scan rows
 
 	// columnar switches a sequential fragment to the segment store: one
 	// morsel per column segment (storage.SegmentSpanPages equals
@@ -87,9 +88,9 @@ func (f *fragSpec) decompose(ex *execCtx) (pages []*storage.Page, rids []storage
 			ex.node.pstats.setSegBytes(ex.node.db.SegmentBytes())
 		}
 		ec := evalCtx{ex: ex}
-		preds := collectZonePreds(f.scanFilter, true)
+		preds := collectZonePreds(f.scanFilter.tree(), true)
 		for _, c := range f.filters {
-			preds = append(preds, collectZonePreds(c, true)...)
+			preds = append(preds, collectZonePreds(c.tree(), true)...)
 		}
 		kept, pruned := pruneSegments(set, resolveZoneChecks(preds, &ec))
 		ex.node.pstats.addSegPruned(int64(pruned))
@@ -108,25 +109,11 @@ func (f *fragSpec) decompose(ex *execCtx) (pages []*storage.Page, rids []storage
 		return pages, nil, morsels, nil
 	}
 	ec := evalCtx{ex: ex}
-	evalBound := func(bs []bexpr) (sqltypes.Row, error) {
-		if bs == nil {
-			return nil, nil
-		}
-		key := make(sqltypes.Row, len(bs))
-		for i, b := range bs {
-			v, err := b.eval(&ec)
-			if err != nil {
-				return nil, err
-			}
-			key[i] = v
-		}
-		return key, nil
-	}
-	lo, err := evalBound(f.lo)
+	lo, err := evalRow(&ec, f.lo)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	hi, err := evalBound(f.hi)
+	hi, err := evalRow(&ec, f.hi)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -144,24 +131,11 @@ func (f *fragSpec) decompose(ex *execCtx) (pages []*storage.Page, rids []storage
 // keep applies the fragment's scan filter and stacked filters to row.
 func (f *fragSpec) keep(ec *evalCtx, row sqltypes.Row) (bool, error) {
 	ec.row = row
-	if f.scanFilter != nil {
-		v, err := f.scanFilter.eval(ec)
-		if err != nil {
-			return false, err
-		}
-		ok, err := filterTrue(v)
-		if err != nil || !ok {
-			return false, err
-		}
+	if ok, err := f.scanFilter.keep(ec); !ok {
+		return false, err
 	}
 	for _, c := range f.filters {
-		ec.row = row
-		v, err := c.eval(ec)
-		if err != nil {
-			return false, err
-		}
-		ok, err := filterTrue(v)
-		if err != nil || !ok {
+		if ok, err := c.keep(ec); !ok {
 			return false, err
 		}
 	}
@@ -440,7 +414,7 @@ type morselAgg struct {
 // in morsel-index order, and streams the merged groups like aggOp.
 type parallelAggOp struct {
 	frag   *fragSpec
-	groups []bexpr
+	groups []*kernel
 	aggs   []*aggDef
 	degree int
 
@@ -465,7 +439,7 @@ func (a *parallelAggOp) open(ex *execCtx) error {
 		err := a.frag.runMorsel(wex, wec, morsels[mi], pages, rids, func(row sqltypes.Row) error {
 			wec.row = row
 			for i, g := range a.groups {
-				v, err := g.eval(wec)
+				v, err := g.value(wec)
 				if err != nil {
 					return err
 				}
@@ -488,7 +462,7 @@ func (a *parallelAggOp) open(ex *execCtx) error {
 				var v sqltypes.Value
 				if def.arg != nil {
 					var err error
-					v, err = def.arg.eval(wec)
+					v, err = def.arg.value(wec)
 					if err != nil {
 						return err
 					}
@@ -642,13 +616,9 @@ func (s *parallelScanOp) open(ex *execCtx) error {
 				rows = append(rows, row)
 				return nil
 			}
-			projected := make(sqltypes.Row, len(s.frag.project))
-			for i, it := range s.frag.project {
-				v, err := it.eval(wec)
-				if err != nil {
-					return err
-				}
-				projected[i] = v
+			projected, err := evalRow(wec, s.frag.project)
+			if err != nil {
+				return err
 			}
 			rows = append(rows, projected)
 			return nil
@@ -733,7 +703,7 @@ func parallelizePlan(nd *Node, root op, degree int, gated bool) op {
 		o.child = parallelizePlan(nd, o.child, degree, gated)
 		return o
 	case *projectOp:
-		if frag, ok := extractFragment(o.child, gated); ok && exprsParallelSafe(o.items) {
+		if frag, ok := extractFragment(o.child, gated); ok && kernelsParallelSafe(o.items) {
 			frag.project = o.items
 			return &parallelScanOp{frag: frag, degree: degree}
 		}
@@ -769,13 +739,15 @@ func parallelizePlan(nd *Node, root op, degree int, gated bool) op {
 
 // extractFragment recognizes a parallel-safe chain of stacked filters
 // over a base-relation scan. gated rejects relations below the auto-mode
-// size floor.
+// size floor. The walk collects filters top-down; the fragment applies
+// them innermost first, as the serial pipeline does, so evaluation
+// errors surface for the same rows.
 func extractFragment(o op, gated bool) (*fragSpec, bool) {
-	var filters []bexpr
+	var filters []*kernel
 	for {
 		switch v := o.(type) {
 		case *filterOp:
-			if !parallelSafeExpr(v.cond) {
+			if !parallelSafe(v.cond) {
 				return nil, false
 			}
 			filters = append(filters, v.cond)
@@ -784,10 +756,10 @@ func extractFragment(o op, gated bool) (*fragSpec, bool) {
 			if gated && v.rel.LiveRows() < parallelMinRows {
 				return nil, false
 			}
-			if !parallelSafeExpr(v.filter) {
+			if !parallelSafe(v.filter) {
 				return nil, false
 			}
-			reverseExprs(filters)
+			slices.Reverse(filters)
 			return &fragSpec{rel: v.rel, scanFilter: v.filter, filters: filters}, true
 		case *colScanOp:
 			if v.needKeyOrder {
@@ -806,19 +778,19 @@ func extractFragment(o op, gated bool) (*fragSpec, bool) {
 			if gated && v.rel.LiveRows() < parallelMinRows {
 				return nil, false
 			}
-			if !parallelSafeExpr(v.filter) {
+			if !parallelSafe(v.filter) {
 				return nil, false
 			}
-			reverseExprs(filters)
+			slices.Reverse(filters)
 			return &fragSpec{rel: v.rel, scanFilter: v.filter, filters: filters, columnar: true}, true
 		case *indexScanOp:
 			if gated && v.rel.LiveRows() < parallelMinRows {
 				return nil, false
 			}
-			if !parallelSafeExpr(v.filter) || !exprsParallelSafe(v.lo) || !exprsParallelSafe(v.hi) {
+			if !parallelSafe(v.filter) || !kernelsParallelSafe(v.lo) || !kernelsParallelSafe(v.hi) {
 				return nil, false
 			}
-			reverseExprs(filters)
+			slices.Reverse(filters)
 			return &fragSpec{
 				rel: v.rel, index: v.index,
 				lo: v.lo, hi: v.hi, loIncl: v.loIncl, hiIncl: v.hiIncl,
@@ -830,17 +802,8 @@ func extractFragment(o op, gated bool) (*fragSpec, bool) {
 	}
 }
 
-// reverseExprs restores innermost-first filter order (extraction walks
-// top-down); application order must match the serial pipeline so
-// evaluation errors surface for the same rows.
-func reverseExprs(s []bexpr) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-func aggsParallelSafe(groups []bexpr, aggs []*aggDef) bool {
-	if !exprsParallelSafe(groups) {
+func aggsParallelSafe(groups []*kernel, aggs []*aggDef) bool {
+	if !kernelsParallelSafe(groups) {
 		return false
 	}
 	for _, def := range aggs {
@@ -848,12 +811,25 @@ func aggsParallelSafe(groups []bexpr, aggs []*aggDef) bool {
 			// DISTINCT needs a cross-morsel duplicate set; serial fallback.
 			return false
 		}
-		if def.arg != nil && !parallelSafeExpr(def.arg) {
+		if !parallelSafe(def.arg) {
 			return false
 		}
 	}
 	return true
 }
+
+func kernelsParallelSafe(ks []*kernel) bool {
+	for _, k := range ks {
+		if !parallelSafe(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// parallelSafe applies parallelSafeExpr to a kernel's source tree (nil
+// kernels are safe).
+func parallelSafe(k *kernel) bool { return parallelSafeExpr(k.tree()) }
 
 func exprsParallelSafe(es []bexpr) bool {
 	for _, e := range es {

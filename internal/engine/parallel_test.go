@@ -428,7 +428,7 @@ func TestParallelScanErrorWakesParkedWaiters(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := &gateExpr{trigger: 1, armed: make(chan struct{}), release: make(chan struct{})}
-	s := &parallelScanOp{frag: &fragSpec{rel: rel, filters: []bexpr{gate}}, degree: 2}
+	s := &parallelScanOp{frag: &fragSpec{rel: rel, filters: []*kernel{compile(gate)}}, degree: 2}
 	ex := &execCtx{node: nd, snapshot: nd.Watermark(), meter: nd.meter}
 	if err := s.open(ex); err != nil {
 		t.Fatal(err)

@@ -252,17 +252,9 @@ func (n *Node) planScan(b *binder, t int, tb tableBinding, filters []sql.Expr, n
 	}
 	scanScope := nameScope.withOutputs(layout)
 
-	var filter bexpr
-	for _, f := range filters {
-		bf, err := b.bind(f, scanScope)
-		if err != nil {
-			return nil, err
-		}
-		if filter == nil {
-			filter = bf
-		} else {
-			filter = &andExpr{l: filter, r: bf}
-		}
+	filter, err := bindConjunction(b, filters, scanScope)
+	if err != nil {
+		return nil, err
 	}
 
 	rows := float64(tb.rel.LiveRows())
@@ -320,6 +312,24 @@ func (n *Node) planScan(b *binder, t int, tb tableBinding, filters []sql.Expr, n
 		scanOp = &seqScanOp{rel: tb.rel, filter: filter}
 	}
 	return &plannedScan{t: t, rel: tb.rel, op: scanOp, layout: layout, est: math.Max(rows*sel, 1)}, nil
+}
+
+// bindConjunction binds single-table filters as one left-deep AND in
+// conjunct order and compiles it (nil for no filters).
+func bindConjunction(b *binder, filters []sql.Expr, sc *scope) (*kernel, error) {
+	var filter bexpr
+	for _, f := range filters {
+		bf, err := b.bind(f, sc)
+		if err != nil {
+			return nil, err
+		}
+		if filter == nil {
+			filter = bf
+		} else {
+			filter = &andExpr{l: filter, r: bf}
+		}
+	}
+	return compile(filter), nil
 }
 
 // accessPath is a candidate index range.
@@ -403,8 +413,7 @@ func sargSides(e *sql.CompareExpr, name string, sc *scope) (col *sql.ColumnRef, 
 		return cr, e.R, e.Op
 	}
 	if cr, ok := e.R.(*sql.ColumnRef); ok && cr.Name == name && isConstInScope(e.L, sc) {
-		flip := map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-		return cr, e.L, flip[e.Op]
+		return cr, e.L, sql.FlipCompare(e.Op)
 	}
 	return nil, nil, ""
 }
@@ -510,7 +519,7 @@ func literalValue(e sql.Expr) (sqltypes.Value, bool) {
 
 // bindBounds binds the access path's bound expressions (constants or
 // correlation parameters) for runtime evaluation.
-func bindBounds(b *binder, ap *accessPath, nameScope *scope) (lo, hi []bexpr, err error) {
+func bindBounds(b *binder, ap *accessPath, nameScope *scope) (lo, hi []*kernel, err error) {
 	constScope := nameScope.withOutputs(nil)
 	constScope.tables = nil
 	if ap.lo != nil {
@@ -518,14 +527,14 @@ func bindBounds(b *binder, ap *accessPath, nameScope *scope) (lo, hi []bexpr, er
 		if err != nil {
 			return nil, nil, err
 		}
-		lo = []bexpr{e}
+		lo = []*kernel{compile(e)}
 	}
 	if ap.hi != nil {
 		e, err := b.bind(ap.hi, constScope)
 		if err != nil {
 			return nil, nil, err
 		}
-		hi = []bexpr{e}
+		hi = []*kernel{compile(e)}
 	}
 	return lo, hi, nil
 }
@@ -597,7 +606,7 @@ func (n *Node) planJoins(b *binder, scans []*plannedScan, preds []joinPred, resi
 			if err != nil {
 				return err
 			}
-			root = &filterOp{child: root, cond: cond}
+			root = &filterOp{child: root, cond: compile(cond)}
 			appliedRes[i] = true
 		}
 		return nil
@@ -705,14 +714,14 @@ func (n *Node) planJoins(b *binder, scans []*plannedScan, preds []joinPred, resi
 	return root, layout, nil
 }
 
-func bindRefs(b *binder, refs []*sql.ColumnRef, sc *scope) ([]bexpr, error) {
-	out := make([]bexpr, len(refs))
+func bindRefs(b *binder, refs []*sql.ColumnRef, sc *scope) ([]*kernel, error) {
+	out := make([]*kernel, len(refs))
 	for i, r := range refs {
 		e, err := b.bind(r, sc)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = e
+		out[i] = compile(e)
 	}
 	return out, nil
 }
@@ -811,7 +820,7 @@ func (n *Node) planProjection(b *binder, stmt *sql.SelectStmt, root op, joinScop
 		names = append(names, oi.Expr.SQL())
 		hidden++
 	}
-	root = &projectOp{child: root, items: items}
+	root = &projectOp{child: root, items: compileAll(items)}
 	if stmt.Distinct {
 		root = &distinctOp{child: root}
 	}
@@ -828,9 +837,9 @@ func trimHidden(root op, names []string, hidden int) op {
 		return root
 	}
 	visible := len(names) - hidden
-	items := make([]bexpr, visible)
+	items := make([]*kernel, visible)
 	for i := range items {
-		items[i] = &colExpr{pos: i}
+		items[i] = compile(&colExpr{pos: i})
 	}
 	return &projectOp{child: root, items: items}
 }
@@ -911,7 +920,7 @@ func (n *Node) planAggregate(b *binder, stmt *sql.SelectStmt, root op, joinScope
 					werr = err
 					return false
 				}
-				def.arg = arg
+				def.arg = compile(arg)
 			}
 			aggMap[key] = len(aggDefs)
 			aggDefs = append(aggDefs, def)
@@ -939,7 +948,7 @@ func (n *Node) planAggregate(b *binder, stmt *sql.SelectStmt, root op, joinScope
 		}
 	}
 
-	root = &aggOp{child: root, groups: groupBinds, aggs: aggDefs}
+	root = &aggOp{child: root, groups: compileAll(groupBinds), aggs: aggDefs}
 	nGroups := len(groupBinds)
 
 	if stmt.Having != nil {
@@ -947,7 +956,7 @@ func (n *Node) planAggregate(b *binder, stmt *sql.SelectStmt, root op, joinScope
 		if err != nil {
 			return nil, nil, err
 		}
-		root = &filterOp{child: root, cond: cond}
+		root = &filterOp{child: root, cond: compile(cond)}
 	}
 
 	var items []bexpr
@@ -979,7 +988,7 @@ func (n *Node) planAggregate(b *binder, stmt *sql.SelectStmt, root op, joinScope
 		names = append(names, oi.Expr.SQL())
 		hidden++
 	}
-	root = &projectOp{child: root, items: items}
+	root = &projectOp{child: root, items: compileAll(items)}
 	if stmt.Distinct {
 		root = &distinctOp{child: root}
 	}
@@ -1018,13 +1027,13 @@ func bindAggSpace(b *binder, e sql.Expr, groupMap, aggMap map[string]int, nGroup
 		if err != nil {
 			return nil, err
 		}
-		return &binExpr{op: e.Op, l: l, r: r}, nil
+		return fold(&binExpr{op: e.Op, l: l, r: r}), nil
 	case *sql.NegExpr:
 		x, err := bindAggSpace(b, e.E, groupMap, aggMap, nGroups)
 		if err != nil {
 			return nil, err
 		}
-		return &negExpr{e: x}, nil
+		return fold(&negExpr{e: x}), nil
 	case *sql.CompareExpr:
 		l, err := bindAggSpace(b, e.L, groupMap, aggMap, nGroups)
 		if err != nil {
@@ -1066,7 +1075,7 @@ func bindAggSpace(b *binder, e sql.Expr, groupMap, aggMap map[string]int, nGroup
 		if err != nil {
 			return nil, err
 		}
-		return &extractExpr{field: e.Field, e: x}, nil
+		return fold(&extractExpr{field: e.Field, e: x}), nil
 	case *sql.CaseExpr:
 		c := &caseExpr{}
 		for _, w := range e.Whens {
@@ -1103,7 +1112,7 @@ func attachOrderLimit(stmt *sql.SelectStmt, root op, names []string) (op, error)
 			if pos < 0 {
 				return nil, fmt.Errorf("ORDER BY expression %q must appear in the select list", oi.Expr.SQL())
 			}
-			keys = append(keys, sortKey{expr: &colExpr{pos: pos}, desc: oi.Desc})
+			keys = append(keys, sortKey{expr: compile(&colExpr{pos: pos}), desc: oi.Desc})
 		}
 		root = &sortOp{child: root, keys: keys}
 	}

@@ -178,7 +178,7 @@ func (co *scanCoord) scanSegment(ex *execCtx, j int) []sqltypes.Row {
 // coordinator's segment generation does not match.
 type sharedScanOp struct {
 	rel          *storage.Relation
-	filter       bexpr
+	filter       *kernel
 	needKeyOrder bool
 	fallback     op
 
@@ -211,7 +211,7 @@ func (s *sharedScanOp) open(ex *execCtx) error {
 		return s.fallback.open(ex)
 	}
 
-	checks := resolveZoneChecks(collectZonePreds(s.filter, true), &s.ec)
+	checks := resolveZoneChecks(collectZonePreds(s.filter.tree(), true), &s.ec)
 	s.need = make([]bool, len(set.Segments))
 	s.got = make([]bool, len(set.Segments))
 	s.buf = make([][]sqltypes.Row, len(set.Segments))
@@ -260,19 +260,12 @@ func (s *sharedScanOp) next(ex *execCtx, out *sqltypes.Batch) error {
 			// like any other operator step.
 			ex.meter.Charge(cfg.CPUOperator)
 			ex.meter.MaybeFlush()
-			if s.filter != nil {
-				s.ec.row = row
-				v, err := s.filter.eval(&s.ec)
+			s.ec.row = row
+			if keep, err := s.filter.keep(&s.ec); !keep {
 				if err != nil {
 					return err
 				}
-				keep, err := filterTrue(v)
-				if err != nil {
-					return err
-				}
-				if !keep {
-					continue
-				}
+				continue
 			}
 			out.Append(row)
 		}

@@ -35,43 +35,21 @@ func New() *MemDB {
 	return &MemDB{db: db, node: engine.NewNode(0, db)}
 }
 
-// LoadResult creates (or replaces nothing — names must be fresh) a table
-// holding the given rows. Column kinds are inferred from the data, with
-// numeric columns widened to float when any row requires it. The unique
-// table name is returned so concurrent compositions never collide.
-func (m *MemDB) LoadResult(prefix string, cols []string, rows []sqltypes.Row) (string, error) {
-	if len(cols) == 0 {
-		return "", fmt.Errorf("memdb: result has no columns")
-	}
-	name := fmt.Sprintf("%s_%d", prefix, m.seq.Add(1))
-	kinds := inferKinds(len(cols), rows)
-	st := &sql.CreateTableStmt{Name: name}
-	for i, c := range cols {
-		st.Columns = append(st.Columns, sql.ColumnDef{Name: c, Type: kinds[i]})
-	}
-	rel, err := m.db.CreateTable(st)
-	if err != nil {
-		return "", err
-	}
-	for _, row := range rows {
-		conv := make(sqltypes.Row, len(row))
-		for i, v := range row {
-			conv[i] = widen(v, kinds[i])
-		}
-		if _, err := rel.Insert(0, conv); err != nil {
-			return "", err
-		}
-	}
-	return name, nil
-}
+// Relations returns the names of the composition tables currently
+// loaded.
+func (m *MemDB) Relations() []string { return m.db.Relations() }
 
 // Loader loads partial rows into a composition table incrementally, so
 // composition can begin before the last partial arrives. Column kinds
-// are inferred from the rows seen so far; when a later row forces a
-// widening (or a column that looked all-NULL turns out typed), the
-// table is rebuilt from the retained rows — the end state is identical
-// to a one-shot LoadResult over the same rows. Not safe for concurrent
-// use; one Loader belongs to one composing query.
+// are inferred from the data, with numeric columns widened to float
+// when any row requires it; when a later row forces a widening (or a
+// column that looked all-NULL turns out typed), the table is rebuilt
+// from the retained rows, so the end state depends only on the rows
+// appended. Fresh table names keep concurrent compositions from
+// colliding. The Loader owns every table it creates: a table it
+// abandons (rebuild, Reset) is dropped at once, and Close drops the
+// last one. Not safe for concurrent use; one Loader belongs to one
+// composing query.
 type Loader struct {
 	m      *MemDB
 	prefix string
@@ -121,10 +99,26 @@ func (l *Loader) widens(rows []sqltypes.Row) bool {
 // when a streamed attempt turns out not to be the partition's winner.
 // The next Append starts a fresh table.
 func (l *Loader) Reset() {
+	l.drop()
 	l.rows = nil
+	l.kinds = nil
+}
+
+// Close drops the loader's table. The owner calls it once the
+// composition query over the table has run, or on any path that
+// abandons the composition (error, cancellation).
+func (l *Loader) Close() {
+	l.drop()
+	l.rows = nil
+}
+
+// drop removes the current table, if any, from the database.
+func (l *Loader) drop() {
+	if l.rel != nil {
+		_ = l.m.db.DropTable(l.name)
+	}
 	l.rel = nil
 	l.name = ""
-	l.kinds = nil
 }
 
 // Finish returns the loaded table's name, creating an empty table if no
@@ -148,6 +142,7 @@ func (l *Loader) rebuild() error {
 	if len(l.cols) == 0 {
 		return fmt.Errorf("memdb: result has no columns")
 	}
+	l.drop()
 	l.name = fmt.Sprintf("%s_%d", l.prefix, l.m.seq.Add(1))
 	l.kinds = inferKinds(len(l.cols), l.rows)
 	st := &sql.CreateTableStmt{Name: l.name}

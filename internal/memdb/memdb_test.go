@@ -6,6 +6,16 @@ import (
 	"apuama/internal/sqltypes"
 )
 
+// load loads rows into a fresh composition table through a Loader and
+// returns the table's name.
+func load(m *MemDB, prefix string, cols []string, rows []sqltypes.Row) (string, error) {
+	ld := m.NewLoader(prefix, cols)
+	if err := ld.Append(rows); err != nil {
+		return "", err
+	}
+	return ld.Finish()
+}
+
 func TestLoadAndCompose(t *testing.T) {
 	m := New()
 	rows := []sqltypes.Row{
@@ -13,7 +23,7 @@ func TestLoadAndCompose(t *testing.T) {
 		{sqltypes.NewString("B"), sqltypes.NewInt(20), sqltypes.NewInt(4)},
 		{sqltypes.NewString("A"), sqltypes.NewInt(30), sqltypes.NewInt(6)},
 	}
-	name, err := m.LoadResult("partial", []string{"g0", "a0", "a1"}, rows)
+	name, err := load(m, "partial", []string{"g0", "a0", "a1"}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +45,7 @@ func TestKindInferenceWidening(t *testing.T) {
 		{sqltypes.NewInt(1)},
 		{sqltypes.NewFloat(2.5)},
 	}
-	name, err := m.LoadResult("p", []string{"x"}, rows)
+	name, err := load(m, "p", []string{"x"}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +64,7 @@ func TestNullsAndDates(t *testing.T) {
 		{sqltypes.Null(), sqltypes.MustDate("1994-01-01")},
 		{sqltypes.NewInt(5), sqltypes.MustDate("1995-01-01")},
 	}
-	name, err := m.LoadResult("p", []string{"a", "d"}, rows)
+	name, err := load(m, "p", []string{"a", "d"}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +80,7 @@ func TestNullsAndDates(t *testing.T) {
 func TestAllNullColumn(t *testing.T) {
 	m := New()
 	rows := []sqltypes.Row{{sqltypes.Null()}, {sqltypes.Null()}}
-	name, err := m.LoadResult("p", []string{"a"}, rows)
+	name, err := load(m, "p", []string{"a"}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +92,7 @@ func TestAllNullColumn(t *testing.T) {
 
 func TestEmptyResultSet(t *testing.T) {
 	m := New()
-	name, err := m.LoadResult("p", []string{"a", "b"}, nil)
+	name, err := load(m, "p", []string{"a", "b"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,18 +103,18 @@ func TestEmptyResultSet(t *testing.T) {
 	if res.Rows[0][0].I != 0 || !res.Rows[0][1].IsNull() {
 		t.Fatalf("%v", res.Rows[0])
 	}
-	if _, err := m.LoadResult("p", nil, nil); err == nil {
+	if _, err := load(m, "p", nil, nil); err == nil {
 		t.Error("no columns should fail")
 	}
 }
 
 func TestUniqueNames(t *testing.T) {
 	m := New()
-	n1, err := m.LoadResult("p", []string{"a"}, nil)
+	n1, err := load(m, "p", []string{"a"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := m.LoadResult("p", []string{"a"}, nil)
+	n2, err := load(m, "p", []string{"a"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,6 +64,11 @@ var flipCmp = map[string]string{
 	"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<=",
 }
 
+// FlipCompare returns the operator that keeps `a op b` true when the
+// operands are swapped (`b FlipCompare(op) a`); unknown operators map
+// to "".
+func FlipCompare(op string) string { return flipCmp[op] }
+
 // orientCompare rewrites `literal op expr` to `expr flip(op) literal`
 // in place. Literal-vs-literal comparisons orient by rendered form so
 // the two spellings of the same constant predicate also converge.
